@@ -51,13 +51,46 @@ let size_arg =
   let doc = "Override the problem size." in
   Arg.(value & opt (some int) None & info [ "n"; "size" ] ~docv:"N" ~doc)
 
+(* Exit status of a command asked for a size its program cannot be built
+   (or fails validation) at. *)
+let exit_bad_size = 3
+
+let exits =
+  Cmd.Exit.info exit_bad_size
+    ~doc:"the program cannot be built at the requested problem size."
+  :: Cmd.Exit.defaults
+
+(* Builds and validates a registry program.  A size the program cannot
+   be built at is bad input, not an internal error: it is reported on
+   one line naming the program and the size, with the first reason. *)
 let build_program name size =
   let entry = K.Registry.find name in
-  match (size, entry.K.Registry.build_sized) with
-  | Some n, Some f -> f n
-  | Some _, None ->
-      failwith (Printf.sprintf "%s has no size parameter" entry.K.Registry.name)
-  | None, _ -> entry.K.Registry.build ()
+  let build () =
+    let p =
+      match (size, entry.K.Registry.build_sized) with
+      | Some n, Some f -> f n
+      | Some _, None ->
+          failwith
+            (Printf.sprintf "%s has no size parameter" entry.K.Registry.name)
+      | None, _ -> entry.K.Registry.build ()
+    in
+    Validate.check_exn p;
+    p
+  in
+  match build () with
+  | p -> p
+  | exception (Invalid_argument msg | Failure msg) ->
+      let reason =
+        match String.split_on_char ';' msg with
+        | first :: (_ :: _ as rest) ->
+            Printf.sprintf "%s (and %d more)" first (List.length rest)
+        | _ -> msg
+      in
+      Printf.eprintf "mlc: %s cannot be built at size %s: %s\n%!"
+        entry.K.Registry.name
+        (match size with Some n -> string_of_int n | None -> "default")
+        reason;
+      exit exit_bad_size
 
 (* --- observability flags -------------------------------------------------- *)
 
@@ -122,7 +155,6 @@ let simulate_cmd =
     with_obs ~span:("mlc:simulate " ^ prog) ~trace ~metrics @@ fun _obs ->
     let machine = machine_of machine_name in
     let p = build_program prog size in
-    Validate.check_exn p;
     let orig = L.Experiment.run_strategy machine L.Pipeline.Original p in
     let opt = L.Experiment.run_strategy machine (strategy_of strategy) p in
     Format.printf "%s on %s@." p.Program.name machine.Cs.Machine.name;
@@ -137,7 +169,7 @@ let simulate_cmd =
       $ metrics_arg)
   in
   Cmd.v
-    (Cmd.info "simulate"
+    (Cmd.info "simulate" ~exits
        ~doc:"Simulate a program under a layout strategy and print miss rates.")
     term
 
@@ -239,6 +271,7 @@ let sweep_cmd =
     in
     if entry.K.Registry.build_sized = None then
       failwith (Printf.sprintf "%s has no size parameter" entry.K.Registry.name);
+    List.iter (fun n -> ignore (build_program entry.K.Registry.name (Some n))) sizes;
     let backend =
       match Mlc_ir.Interp.backend_of_string backend_name with
       | Some b -> b
@@ -402,7 +435,7 @@ let sweep_cmd =
       $ trace_arg $ metrics_arg)
   in
   Cmd.v
-    (Cmd.info "sweep"
+    (Cmd.info "sweep" ~exits
        ~doc:
          "Sweep a benchmark over problem sizes and strategies on the \
           parallel experiment engine (domain pool + content-addressed \
@@ -425,7 +458,7 @@ let layout_cmd =
   in
   let term = Term.(const run $ prog_arg $ size_arg $ strategy_arg $ machine_arg) in
   Cmd.v
-    (Cmd.info "layout" ~doc:"Print the memory layout a strategy produces.")
+    (Cmd.info "layout" ~exits ~doc:"Print the memory layout a strategy produces.")
     term
 
 (* --- arcs ------------------------------------------------------------------ *)
@@ -468,7 +501,7 @@ let arcs_cmd =
     Term.(const run $ prog_arg $ size_arg $ strategy_arg $ machine_arg $ diagram_arg)
   in
   Cmd.v
-    (Cmd.info "arcs"
+    (Cmd.info "arcs" ~exits
        ~doc:
          "Render the layout-diagram model: dot positions, group-reuse arcs \
           and severe conflicts per nest.")
@@ -511,7 +544,7 @@ let fuse_cmd =
   in
   let term = Term.(const run $ prog_arg $ size_arg $ nest_arg $ machine_arg) in
   Cmd.v
-    (Cmd.info "fuse"
+    (Cmd.info "fuse" ~exits
        ~doc:"Fuse two adjacent nests and print the Section 4 accounting.")
     term
 
@@ -581,7 +614,7 @@ let compile_cmd =
       $ metrics_arg)
   in
   Cmd.v
-    (Cmd.info "compile"
+    (Cmd.info "compile" ~exits
        ~doc:
          "Run the whole pipeline (permute, fuse, pad) on a program and \
           report original vs optimized metrics.")
@@ -618,7 +651,7 @@ let emit_cmd =
           $ repeat_arg)
   in
   Cmd.v
-    (Cmd.info "emit"
+    (Cmd.info "emit" ~exits
        ~doc:
          "Emit a benchmark program as compilable C (with the strategy's \
           pads physically realized) or as kernel-language source.")
@@ -651,7 +684,7 @@ let curve_cmd =
   in
   let term = Term.(const run $ prog_arg $ size_arg) in
   Cmd.v
-    (Cmd.info "curve"
+    (Cmd.info "curve" ~exits
        ~doc:
          "Stack-distance analysis: the program's miss-rate-vs-capacity \
           curve, independent of conflicts.  Note: builds the full trace \

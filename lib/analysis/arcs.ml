@@ -70,10 +70,28 @@ let arcs layout ?(min_span = 1) nest =
       pair offsets)
     groups
 
+(* [d] reduced into [0, size).  Differences of cache positions are
+   almost always within one cache size, which needs no division. *)
+let wrap size d =
+  if d >= 0 then if d < size then d else d mod size
+  else if d >= -size then d + size
+  else
+    let r = d mod size in
+    if r < 0 then r + size else r
+
 let circular_distance size a b =
-  let d = (b - a) mod size in
-  let d = if d < 0 then d + size else d in
+  let d = wrap size (b - a) in
   min d (size - d)
+
+let within_line ~size ~line p q =
+  let d = wrap size (q - p) in
+  d < line || size - d < line
+
+let under_arc ~size ~span p q =
+  let rel = wrap size (q - p) in
+  rel > 0 && rel < span
+
+let arc_fits ~size arc = arc.span < size
 
 let severe_conflicts layout ~size ~line ?(include_same_array = false) nest =
   let ds = dots layout ~size nest in
@@ -94,35 +112,36 @@ let severe_conflicts layout ~size ~line ?(include_same_array = false) nest =
               && d.ref_.Ref_.array = d'.ref_.Ref_.array
               && abs (d.address - d'.address) >= line
             in
-            if different_array || same_array_distinct then begin
-              let dist = circular_distance size d.position d'.position in
-              if dist < line then
-                conflicts := { a = d.ref_index; b = d'.ref_index; distance = dist } :: !conflicts
-            end)
+            if
+              (different_array || same_array_distinct)
+              && within_line ~size ~line d.position d'.position
+            then
+              conflicts :=
+                {
+                  a = d.ref_index;
+                  b = d'.ref_index;
+                  distance = circular_distance size d.position d'.position;
+                }
+                :: !conflicts)
           rest;
         pairs rest
   in
   pairs ds;
   List.rev !conflicts
 
-(* A dot at position q lies strictly under the arc anchored at trailing
-   position p with the given span iff 0 < (q - p) mod size < span. *)
 let arc_preserved ds ~size arc =
-  if arc.span >= size then false
-  else
-    match List.find_opt (fun d -> d.ref_index = arc.trailing) ds with
-    | None -> false
-    | Some trailing_dot ->
-        let p = trailing_dot.position in
-        not
-          (List.exists
-             (fun d ->
-               if d.ref_index = arc.trailing || d.ref_index = arc.leading then false
-               else
-                 let rel = (d.position - p) mod size in
-                 let rel = if rel < 0 then rel + size else rel in
-                 rel > 0 && rel < arc.span)
-             ds)
+  arc_fits ~size arc
+  &&
+  match List.find_opt (fun d -> d.ref_index = arc.trailing) ds with
+  | None -> false
+  | Some trailing_dot ->
+      not
+        (List.exists
+           (fun d ->
+             d.ref_index <> arc.trailing
+             && d.ref_index <> arc.leading
+             && under_arc ~size ~span:arc.span trailing_dot.position d.position)
+           ds)
 
 let preserved_arcs layout ~size nest =
   let ds = dots layout ~size nest in

@@ -44,6 +44,27 @@ val dots : Layout.t -> size:int -> Nest.t -> dot list
     them. *)
 val arcs : Layout.t -> ?min_span:int -> Nest.t -> arc list
 
+(** {2 Position rules}
+
+    The tests below decide conflicts and arc preservation from cache
+    positions alone, so a search that tracks positions in integer tables
+    (GROUPPAD) applies exactly the rules the list-based functions do. *)
+
+(** Circular distance between two positions on a cache of [size] bytes. *)
+val circular_distance : int -> int -> int -> int
+
+(** [within_line ~size ~line p q] — positions [p] and [q] lie within one
+    line of each other circularly: the severe-conflict test. *)
+val within_line : size:int -> line:int -> int -> int -> bool
+
+(** [under_arc ~size ~span p q] — a dot at position [q] lies strictly
+    under an arc of [span] bytes anchored at trailing position [p]:
+    [0 < (q - p) mod size < span]. *)
+val under_arc : size:int -> span:int -> int -> int -> bool
+
+(** An arc at least as long as the cache is never preserved. *)
+val arc_fits : size:int -> arc -> bool
+
 (** Severe conflicts between different arrays at line granularity [line].
     [include_same_array] additionally reports same-array conflicts between
     distinct references (the target of {e intra}-variable padding). *)

@@ -1,14 +1,10 @@
 open Mlc_ir
+module Obs = Mlc_obs.Obs
 
 let positions ~size layout =
   List.map
     (fun v -> (v, Layout.base layout v mod size))
     (Layout.array_names layout)
-
-let circular_distance size a b =
-  let d = (b - a) mod size in
-  let d = if d < 0 then d + size else d in
-  min d (size - d)
 
 (* Spread variables toward targets k·size/n by choosing, for each variable
    in order, the pad increment from [increments] whose resulting position
@@ -30,7 +26,7 @@ let spread ~size ~increments _program layout =
           (fun inc ->
             let candidate = Layout.add_pad_before layout v inc in
             let pos = Layout.base candidate v mod size in
-            let dist = circular_distance size pos target in
+            let dist = Mlc_analysis.Arcs.circular_distance size pos target in
             match !best with
             | Some (d, _) when d <= dist -> ()
             | _ -> best := Some (dist, candidate))
@@ -61,4 +57,6 @@ let apply_l2 ~s1 ~l2_size program layout =
   let increments =
     List.init (l2_size / s1) (fun k -> k * s1)
   in
+  let scored = List.length increments * List.length (Layout.array_names layout) in
+  if scored > 0 then Obs.count ~n:scored "pass.l2maxpad.candidates";
   spread ~size:l2_size ~increments program layout

@@ -19,7 +19,8 @@ open Mlc_ir
 val apply : ?grain:int -> size:int -> Program.t -> Layout.t -> Layout.t
 
 (** [apply_l2 ~s1 ~l2_size program layout] — L2MAXPAD: spread on the L2
-    cache with pads that are multiples of [s1]. *)
+    cache with pads that are multiples of [s1].  Records
+    [pass.l2maxpad.candidates] (variables × increments) once per call. *)
 val apply_l2 : s1:int -> l2_size:int -> Program.t -> Layout.t -> Layout.t
 
 (** Positions of each array's base on a cache of [size] bytes. *)

@@ -33,7 +33,24 @@ let compile_ref layout ~var_level ~depth r =
   end
   else Slow r
 
-let feed_nest hierarchy layout nest =
+(* A nest compiled against a layout: every reference as a base plus one
+   stride per loop level (gather references fall back to evaluating
+   their subscripts), and the partial-address matrix the walker keeps
+   current level by level. *)
+type compiled = {
+  loops : Loop.t array;
+  depth : int;
+  crefs : cref array;
+  strides : int array array;     (* strides.(level).(r); 0 for gathers *)
+  is_write : bool array;
+  flops_per_iter : int;
+  partials : int array array;
+      (* partials.(l).(r): base plus the contribution of levels < l *)
+  ivs : int array;
+  env : string -> int;
+}
+
+let compile_nest layout nest =
   let loops = Array.of_list nest.Nest.loops in
   let depth = Array.length loops in
   let var_level = Hashtbl.create 8 in
@@ -44,13 +61,13 @@ let feed_nest hierarchy layout nest =
     |> List.map (compile_ref layout ~var_level ~depth)
     |> Array.of_list
   in
-  let is_write = Array.of_list (List.map Ref_.is_write body_refs) in
   let nrefs = Array.length crefs in
-  let flops_per_iter =
-    List.fold_left (fun acc s -> acc + s.Stmt.flops) 0 nest.Nest.body
+  let strides =
+    Array.init depth (fun level ->
+        Array.map
+          (function Linear { strides; _ } -> strides.(level) | Slow _ -> 0)
+          crefs)
   in
-  (* partials.(l).(r): address contribution of loop levels < l plus the
-     base constant; column 0 holds the bases. *)
   let partials = Array.make_matrix (depth + 1) nrefs 0 in
   Array.iteri
     (fun r cref ->
@@ -64,39 +81,61 @@ let feed_nest hierarchy layout nest =
     | Some level -> ivs.(level)
     | None -> invalid_arg ("Interp: unbound variable " ^ v)
   in
-  let flops = ref 0 in
+  {
+    loops;
+    depth;
+    crefs;
+    strides;
+    is_write = Array.of_list (List.map Ref_.is_write body_refs);
+    flops_per_iter =
+      List.fold_left (fun acc s -> acc + s.Stmt.flops) 0 nest.Nest.body;
+    partials;
+    ivs;
+    env;
+  }
+
+(* The walker: runs loop levels [0, upto) in program order, keeping
+   [partials] current, and calls [leaf ()] once per iteration of level
+   [upto - 1] (once in all when [upto = 0]). *)
+let walk c ~upto leaf =
+  let nrefs = Array.length c.crefs in
   let rec go level =
-    if level = depth then begin
-      let leaf = partials.(depth) in
-      for r = 0 to nrefs - 1 do
-        let addr =
-          match crefs.(r) with
-          | Linear _ -> leaf.(r)
-          | Slow ref_ -> Layout.address_of_ref layout env ref_
-        in
-        ignore (Cs.Hierarchy.access hierarchy ~write:is_write.(r) addr)
-      done;
-      flops := !flops + flops_per_iter
-    end
+    if level = upto then leaf ()
     else begin
-      let loop = loops.(level) in
-      let cur = partials.(level) in
-      let next = partials.(level + 1) in
-      Loop.iter env loop (fun iv ->
-          ivs.(level) <- iv;
+      let cur = c.partials.(level) in
+      let next = c.partials.(level + 1) in
+      let strides = c.strides.(level) in
+      Loop.iter c.env c.loops.(level) (fun iv ->
+          c.ivs.(level) <- iv;
           for r = 0 to nrefs - 1 do
-            let stride =
-              match crefs.(r) with
-              | Linear { strides; _ } -> strides.(level)
-              | Slow _ -> 0
-            in
-            next.(r) <- cur.(r) + (stride * iv)
+            next.(r) <- cur.(r) + (strides.(r) * iv)
           done;
           go (level + 1))
     end
   in
-  go 0;
+  go 0
+
+(* Per-access walk: [sink write addr] for every reference of every
+   iteration, in program order.  Returns the flops executed. *)
+let walk_accesses layout c sink =
+  let nrefs = Array.length c.crefs in
+  let addrs = c.partials.(c.depth) in
+  let flops = ref 0 in
+  walk c ~upto:c.depth (fun () ->
+      for r = 0 to nrefs - 1 do
+        let addr =
+          match c.crefs.(r) with
+          | Linear _ -> addrs.(r)
+          | Slow ref_ -> Layout.address_of_ref layout c.env ref_
+        in
+        sink c.is_write.(r) addr
+      done;
+      flops := !flops + c.flops_per_iter);
   !flops
+
+let feed_nest hierarchy layout nest =
+  walk_accesses layout (compile_nest layout nest) (fun write addr ->
+      ignore (Cs.Hierarchy.access hierarchy ~write addr))
 
 let feed hierarchy layout program =
   let flops = ref 0 in
@@ -107,128 +146,44 @@ let feed hierarchy layout program =
   done;
   !flops
 
-(* Fast-backend twin of [feed_nest]: the outer levels walk the same
-   partial-address matrix, but the whole innermost loop is handed to
-   [Fast_sim.block] as (base, stride, count) per reference, letting the
-   simulator account steady runs of L1 hits in bulk.  Gather subscripts
-   (and zero-depth bodies) fall back to per-access feeding, which is
-   still exact — just not bulked. *)
+(* Fast-backend twin of [feed_nest]: the walker stops one level short and
+   the whole innermost loop is handed to [Fast_sim.block] as (base,
+   stride, count) per reference, letting the simulator account steady
+   runs of L1 hits in bulk.  Gather subscripts (and zero-depth bodies)
+   fall back to per-access feeding, which is still exact — just not
+   bulked. *)
 let feed_nest_fast sim layout nest =
-  let loops = Array.of_list nest.Nest.loops in
-  let depth = Array.length loops in
-  let var_level = Hashtbl.create 8 in
-  Array.iteri (fun i l -> Hashtbl.replace var_level l.Loop.var i) loops;
-  let body_refs = List.concat_map (fun s -> s.Stmt.refs) nest.Nest.body in
-  let crefs =
-    body_refs
-    |> List.map (compile_ref layout ~var_level ~depth)
-    |> Array.of_list
-  in
-  let is_write = Array.of_list (List.map Ref_.is_write body_refs) in
-  let nrefs = Array.length crefs in
-  let flops_per_iter =
-    List.fold_left (fun acc s -> acc + s.Stmt.flops) 0 nest.Nest.body
-  in
-  let partials = Array.make_matrix (depth + 1) nrefs 0 in
-  Array.iteri
-    (fun r cref ->
-      match cref with
-      | Linear { base; _ } -> partials.(0).(r) <- base
-      | Slow _ -> ())
-    crefs;
-  let ivs = Array.make depth 0 in
-  let env v =
-    match Hashtbl.find_opt var_level v with
-    | Some level -> ivs.(level)
-    | None -> invalid_arg ("Interp: unbound variable " ^ v)
-  in
-  let flops = ref 0 in
+  let c = compile_nest layout nest in
   let all_linear =
-    Array.for_all (function Linear _ -> true | Slow _ -> false) crefs
+    Array.for_all (function Linear _ -> true | Slow _ -> false) c.crefs
   in
-  let iter_outer ~leaf =
-    let rec go level =
-      if level = depth then leaf ()
-      else begin
-        let loop = loops.(level) in
-        let cur = partials.(level) in
-        let next = partials.(level + 1) in
-        Loop.iter env loop (fun iv ->
-            ivs.(level) <- iv;
-            for r = 0 to nrefs - 1 do
-              let stride =
-                match crefs.(r) with
-                | Linear { strides; _ } -> strides.(level)
-                | Slow _ -> 0
-              in
-              next.(r) <- cur.(r) + (stride * iv)
-            done;
-            go (level + 1))
-      end
-    in
-    go
-  in
-  if all_linear && depth >= 1 then begin
-    let inner = depth - 1 in
-    let inner_loop = loops.(inner) in
-    let strides_inner =
-      Array.map
-        (function Linear { strides; _ } -> strides.(inner) | Slow _ -> 0)
-        crefs
-    in
+  if all_linear && c.depth >= 1 then begin
+    let nrefs = Array.length c.crefs in
+    let inner = c.depth - 1 in
+    let inner_loop = c.loops.(inner) in
+    let strides_inner = c.strides.(inner) in
     let block_strides =
       Array.map (fun s -> s * inner_loop.Loop.step) strides_inner
     in
     let bases = Array.make nrefs 0 in
-    let rec go level =
-      if level = inner then begin
-        let count = Loop.trip_count env inner_loop in
+    let cur = c.partials.(inner) in
+    let flops = ref 0 in
+    walk c ~upto:inner (fun () ->
+        let count = Loop.trip_count c.env inner_loop in
         if count > 0 then begin
-          let lo = Loop.effective_lo env inner_loop in
-          let cur = partials.(inner) in
+          let lo = Loop.effective_lo c.env inner_loop in
           for r = 0 to nrefs - 1 do
             bases.(r) <- cur.(r) + (strides_inner.(r) * lo)
           done;
-          Cs.Fast_sim.block sim ~bases ~strides:block_strides ~writes:is_write
-            ~count;
-          flops := !flops + (flops_per_iter * count)
-        end
-      end
-      else begin
-        let loop = loops.(level) in
-        let cur = partials.(level) in
-        let next = partials.(level + 1) in
-        Loop.iter env loop (fun iv ->
-            ivs.(level) <- iv;
-            for r = 0 to nrefs - 1 do
-              let stride =
-                match crefs.(r) with
-                | Linear { strides; _ } -> strides.(level)
-                | Slow _ -> 0
-              in
-              next.(r) <- cur.(r) + (stride * iv)
-            done;
-            go (level + 1))
-      end
-    in
-    go 0
+          Cs.Fast_sim.block sim ~bases ~strides:block_strides
+            ~writes:c.is_write ~count;
+          flops := !flops + (c.flops_per_iter * count)
+        end);
+    !flops
   end
-  else begin
-    let leaf () =
-      let addrs = partials.(depth) in
-      for r = 0 to nrefs - 1 do
-        let addr =
-          match crefs.(r) with
-          | Linear _ -> addrs.(r)
-          | Slow ref_ -> Layout.address_of_ref layout env ref_
-        in
-        ignore (Cs.Fast_sim.access sim ~write:is_write.(r) addr)
-      done;
-      flops := !flops + flops_per_iter
-    in
-    iter_outer ~leaf 0
-  end;
-  !flops
+  else
+    walk_accesses layout c (fun write addr ->
+        ignore (Cs.Fast_sim.access sim ~write addr))
 
 let feed_fast sim layout program =
   let flops = ref 0 in
@@ -361,32 +316,19 @@ let run ?(backend = `Reference) machine layout program =
         machine layout program
 
 let trace layout program =
-  let out = ref [] in
-  let rec run_nest env loops body =
-    match loops with
-    | [] ->
-        List.iter
-          (fun s ->
-            List.iter
-              (fun r ->
-                let env_fn v =
-                  match List.assoc_opt v env with
-                  | Some value -> value
-                  | None -> invalid_arg ("Interp.trace: unbound " ^ v)
-                in
-                out := Layout.address_of_ref layout env_fn r :: !out)
-              s.Stmt.refs)
-          body
-    | loop :: rest ->
-        let env_fn v =
-          match List.assoc_opt v env with
-          | Some value -> value
-          | None -> invalid_arg ("Interp.trace: unbound " ^ v)
-        in
-        Loop.iter env_fn loop (fun iv ->
-            run_nest ((loop.Loop.var, iv) :: env) rest body)
+  let out = ref (Array.make 4096 0) and n = ref 0 in
+  let sink _write addr =
+    if !n = Array.length !out then begin
+      let bigger = Array.make (2 * !n) 0 in
+      Array.blit !out 0 bigger 0 !n;
+      out := bigger
+    end;
+    !out.(!n) <- addr;
+    incr n
   in
   for _step = 1 to program.Program.time_steps do
-    List.iter (fun n -> run_nest [] n.Nest.loops n.Nest.body) program.Program.nests
+    List.iter
+      (fun nest -> ignore (walk_accesses layout (compile_nest layout nest) sink))
+      program.Program.nests
   done;
-  Array.of_list (List.rev !out)
+  Array.sub !out 0 !n

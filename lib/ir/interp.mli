@@ -4,8 +4,10 @@
     References with affine subscripts are compiled to a base constant plus
     one stride per loop level, so the inner loop only performs integer
     adds; gather references take a slow path that evaluates the table
-    lookup.  [trace] is a deliberately naive evaluator used to cross-check
-    the fast path in tests. *)
+    lookup.  One walker visits the iterations: it hands every access to a
+    sink (the reference cascade, {!trace}, and the fast backend's gather
+    fallback), or stops one level short and hands whole innermost loops
+    to {!Mlc_cachesim.Fast_sim.block}. *)
 
 type result = {
   total_refs : int;
@@ -67,6 +69,7 @@ val feed : Mlc_cachesim.Hierarchy.t -> Layout.t -> Program.t -> int
 (** [`Fast] analogue of {!feed}. *)
 val feed_fast : Mlc_cachesim.Fast_sim.t -> Layout.t -> Program.t -> int
 
-(** Naive full address trace (byte addresses, program order).  Intended
-    for small programs in tests; allocates the whole trace. *)
+(** Full address trace (byte addresses, program order), produced by the
+    same walker as {!feed}.  Allocates the whole trace (one int per
+    reference). *)
 val trace : Layout.t -> Program.t -> int array

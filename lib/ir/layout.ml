@@ -52,34 +52,37 @@ let padded_decl_of_entry e =
 
 let align_up addr alignment = (addr + alignment - 1) / alignment * alignment
 
-(* Bases accumulate: each array starts after the previous one plus its
-   pad, rounded up to its element size so accesses stay aligned. *)
-let bases t =
-  let _, acc =
-    List.fold_left
-      (fun (cursor, acc) e ->
-        let padded = padded_decl_of_entry e in
-        let base = align_up (cursor + e.pad_before) e.decl.Array_decl.elem_size in
-        (base + Array_decl.size_bytes padded, (e.decl.Array_decl.name, base) :: acc))
-      (0, []) t.entries
+(* The one placement fold: each array starts after the previous one plus
+   its pad, rounded up to its element size so accesses stay aligned. *)
+let place t ~pad =
+  let bases = Array.make (List.length t.entries) 0 in
+  let cursor = ref 0 in
+  List.iteri
+    (fun i e ->
+      let base = align_up (!cursor + pad i e.pad_before) e.decl.Array_decl.elem_size in
+      bases.(i) <- base;
+      cursor := base + Array_decl.size_bytes (padded_decl_of_entry e))
+    t.entries;
+  (bases, !cursor)
+
+let own_pad _ pad = pad
+
+let index t name =
+  let rec go i = function
+    | [] -> invalid_arg ("Layout: unknown array " ^ name)
+    | e :: rest -> if e.decl.Array_decl.name = name then i else go (i + 1) rest
   in
-  List.rev acc
+  go 0 t.entries
 
 let base t name =
-  try List.assoc name (bases t)
-  with Not_found -> invalid_arg ("Layout.base: unknown array " ^ name)
+  let i = index t name in
+  (fst (place t ~pad:own_pad)).(i)
 
 let padded_decl t name = padded_decl_of_entry (find t name)
 
 let array_names t = List.map (fun e -> e.decl.Array_decl.name) t.entries
 
-let total_bytes t =
-  List.fold_left
-    (fun cursor e ->
-      let padded = padded_decl_of_entry e in
-      let b = align_up (cursor + e.pad_before) e.decl.Array_decl.elem_size in
-      b + Array_decl.size_bytes padded)
-    0 t.entries
+let total_bytes t = snd (place t ~pad:own_pad)
 
 let address t name indices =
   let e = find t name in
@@ -115,10 +118,9 @@ let address_of_ref t env r =
   base t r.Ref_.array + (offset * e.decl.Array_decl.elem_size)
 
 let pp ppf t =
-  List.iter
-    (fun e ->
+  let bases, _ = place t ~pad:own_pad in
+  List.iteri
+    (fun i e ->
       Format.fprintf ppf "%-10s base=%-8d pad_before=%-6d intra_pad=%d@."
-        e.decl.Array_decl.name
-        (base t e.decl.Array_decl.name)
-        e.pad_before e.intra_pad)
+        e.decl.Array_decl.name bases.(i) e.pad_before e.intra_pad)
     t.entries

@@ -34,6 +34,17 @@ val intra_pad : t -> string -> int
 (** Base address in bytes (aligned to the element size). *)
 val base : t -> string -> int
 
+(** [place t ~pad] — the placement rule behind {!base} and
+    {!total_bytes}: every array starts after the previous one plus the
+    pad before it, rounded up to its element size.  [pad i own] gives
+    the pad before the [i]th array (declaration order), whose pad in [t]
+    is [own].  Returns the bases in declaration order and the end of the
+    last array, so a search can price a pad without building a layout. *)
+val place : t -> pad:(int -> int -> int) -> int array * int
+
+(** Declaration-order position of an array (the index {!place} uses). *)
+val index : t -> string -> int
+
 (** Declaration with the intra-pad folded into the first dimension — what
     addressing actually uses. *)
 val padded_decl : t -> string -> Array_decl.t

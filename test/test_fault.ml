@@ -265,6 +265,48 @@ let test_cli_collect_resume () =
         (st = Unix.WEXITED 0);
       Alcotest.(check string) "resumed output is byte-identical" full resumed)
 
+(* --- CLI: sizes a program cannot be built at ------------------------------- *)
+
+(* stderr of [cmd] (stdout discarded) and its exit status *)
+let run_cmd_stderr cmd =
+  let ic = Unix.open_process_in (cmd ^ " 2>&1 >/dev/null") in
+  let buf = Buffer.create 256 in
+  (try
+     while true do
+       Buffer.add_channel buf ic 1
+     done
+   with End_of_file -> ());
+  let status = Unix.close_process_in ic in
+  (Buffer.contents buf, status)
+
+let test_cli_bad_size () =
+  let exe =
+    match mlc_exe with
+    | Some exe -> exe
+    | None -> Alcotest.fail "mlc.exe not built (missing test dependency)"
+  in
+  List.iter
+    (fun (args, n) ->
+      let err, st = run_cmd_stderr (exe ^ " " ^ args) in
+      Alcotest.(check bool) (args ^ ": exit status 3") true (st = Unix.WEXITED 3);
+      Alcotest.(check int)
+        (args ^ ": one line on stderr")
+        1
+        (List.length (String.split_on_char '\n' (String.trim err)));
+      Alcotest.(check bool)
+        (args ^ ": names program and size")
+        true
+        (contains err (Printf.sprintf "JACOBI512 cannot be built at size %d" n));
+      Alcotest.(check bool)
+        (args ^ ": no uncaught exception")
+        false
+        (contains err "uncaught exception"))
+    [
+      ("simulate JACOBI512 -n 0", 0);
+      ("simulate JACOBI512 -n 1", 1);
+      ("sweep JACOBI512 --lo 0 --hi 8 --step 8 --no-cache", 0);
+    ]
+
 (* --- property: no faults => collect = fail-fast = run, any jobs ------------- *)
 
 let small_specs () =
@@ -348,6 +390,11 @@ let () =
             test_resume_only_missing;
           Alcotest.test_case "CLI collect crash then --resume byte-identical"
             `Slow test_cli_collect_resume;
+        ] );
+      ( "input",
+        [
+          Alcotest.test_case "CLI sizes a program cannot be built at" `Quick
+            test_cli_bad_size;
         ] );
       ( "properties",
         [ QCheck_alcotest.to_alcotest prop_policies_agree ] );

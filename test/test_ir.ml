@@ -233,6 +233,56 @@ let test_interp_gather () =
   let layout = Layout.initial p in
   Alcotest.(check (array int)) "gather trace" [| 24; 8; 24; 0 |] (Interp.trace layout p)
 
+(* The list-and-closure evaluator [Interp.trace] used to be: every
+   reference re-evaluated through [Layout.address_of_ref] under an
+   assoc-list environment.  It is independent of the compiled walker, so
+   it stays here as the oracle for the walker-driven [Interp.trace]. *)
+let naive_trace layout program =
+  let out = ref [] in
+  let rec run_nest env loops body =
+    let env_fn v =
+      match List.assoc_opt v env with
+      | Some value -> value
+      | None -> invalid_arg ("naive_trace: unbound " ^ v)
+    in
+    match loops with
+    | [] ->
+        List.iter
+          (fun s ->
+            List.iter
+              (fun r -> out := Layout.address_of_ref layout env_fn r :: !out)
+              s.Stmt.refs)
+          body
+    | loop :: rest ->
+        Loop.iter env_fn loop (fun iv ->
+            run_nest ((loop.Loop.var, iv) :: env) rest body)
+  in
+  for _step = 1 to program.Program.time_steps do
+    List.iter (fun n -> run_nest [] n.Nest.loops n.Nest.body) program.Program.nests
+  done;
+  Array.of_list (List.rev !out)
+
+(* Affine stencils, a triangular nest, two gather kernels, and a
+   program run over several time steps. *)
+let test_trace_matches_naive () =
+  List.iter
+    (fun (name, n) ->
+      let entry = Mlc_kernels.Registry.find name in
+      let p =
+        match entry.Mlc_kernels.Registry.build_sized with
+        | Some f -> f n
+        | None -> entry.Mlc_kernels.Registry.build ()
+      in
+      let layout = Layout.initial p in
+      Alcotest.(check (array int))
+        (Printf.sprintf "%s n=%d" name n)
+        (naive_trace layout p) (Interp.trace layout p))
+    [ ("JACOBI512", 16); ("ADI32", 8); ("LINPACKD", 12); ("IRR500K", 200); ("CGM", 100) ];
+  let p = Mlc_kernels.Livermore.shal ~time_steps:3 12 in
+  let layout = Layout.initial p in
+  Alcotest.(check (array int)) "SHAL n=12, 3 time steps" (naive_trace layout p)
+    (Interp.trace layout p)
+
 (* Property: the fast interpreter and the naive trace agree on miss counts
    for random small programs. *)
 let random_program =
@@ -261,7 +311,7 @@ let prop_fast_interp_matches_trace =
       let layout = Layout.initial p in
       (* replay naive trace *)
       let h1 = Cs.Machine.hierarchy small_machine in
-      Cs.Trace.replay h1 (Interp.trace layout p);
+      Cs.Trace.replay h1 (naive_trace layout p);
       (* fast path *)
       let h2 = Cs.Machine.hierarchy small_machine in
       ignore (Interp.feed h2 layout p);
@@ -319,6 +369,7 @@ let () =
           Alcotest.test_case "counts" `Quick test_interp_counts;
           Alcotest.test_case "trace order" `Quick test_interp_trace_order;
           Alcotest.test_case "gather" `Quick test_interp_gather;
+          Alcotest.test_case "trace = naive trace" `Quick test_trace_matches_naive;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest

@@ -348,14 +348,7 @@ let check_layouts_equal msg a b =
     (Layout.total_bytes a) (Layout.total_bytes b)
 
 let test_pass_pipeline_layouts () =
-  let programs =
-    List.map
-      (fun (name, n) ->
-        match (K.Registry.find name).K.Registry.build_sized with
-        | Some f -> f n
-        | None -> Alcotest.fail (name ^ " not size-parameterized"))
-      [ ("JACOBI512", 64); ("EXPL512", 64); ("ADI32", 32) ]
-  in
+  let programs = List.map (fun e -> e.K.Registry.build ()) K.Registry.all in
   List.iter
     (fun machine ->
       List.iter
