@@ -15,33 +15,29 @@ module Cs = Mlc_cachesim
 module An = Mlc_analysis
 module K = Mlc_kernels
 module L = Locality
+module E = Mlc_engine
 module Obs = Mlc_obs.Obs
 
 (* --- shared args -------------------------------------------------------- *)
 
-let machine_of = function
-  | "ultrasparc" -> Cs.Machine.ultrasparc
-  | "alpha" -> Cs.Machine.alpha21164
-  | other -> failwith (Printf.sprintf "unknown machine %s (ultrasparc|alpha)" other)
+(* Names are cmdliner enums, so an unknown one is a usage error. *)
+let machines =
+  [ ("ultrasparc", Cs.Machine.ultrasparc); ("alpha", Cs.Machine.alpha21164) ]
+
+let machine_of name = List.assoc name machines
 
 let machine_arg =
   let doc = "Cache machine: ultrasparc (16K/512K) or alpha (8K/128K/2M)." in
-  Arg.(value & opt string "ultrasparc" & info [ "machine" ] ~docv:"M" ~doc)
+  let names = Arg.enum (List.map (fun (name, _) -> (name, name)) machines) in
+  Arg.(value & opt names "ultrasparc" & info [ "machine" ] ~docv:"M" ~doc)
 
-let strategy_of = function
-  | "orig" -> L.Pipeline.Original
-  | "pad" -> L.Pipeline.Pad_l1
-  | "multilvlpad" -> L.Pipeline.Pad_multilevel
-  | "grouppad" -> L.Pipeline.Grouppad_l1
-  | "l2maxpad" -> L.Pipeline.Grouppad_l1_l2
-  | other ->
-      failwith
-        (Printf.sprintf
-           "unknown strategy %s (orig|pad|multilvlpad|grouppad|l2maxpad)" other)
+let strategy_conv =
+  Arg.enum (List.map (fun s -> (E.Job.strategy_tag s, s)) L.Pipeline.all)
 
 let strategy_arg =
   let doc = "Layout strategy: orig, pad, multilvlpad, grouppad, l2maxpad." in
-  Arg.(value & opt string "pad" & info [ "strategy"; "s" ] ~docv:"S" ~doc)
+  Arg.(value & opt strategy_conv L.Pipeline.Pad_l1
+       & info [ "strategy"; "s" ] ~docv:"S" ~doc)
 
 let prog_arg =
   let doc = "Benchmark program name from Table 1 (see `mlc list`)." in
@@ -51,20 +47,30 @@ let size_arg =
   let doc = "Override the problem size." in
   Arg.(value & opt (some int) None & info [ "n"; "size" ] ~docv:"N" ~doc)
 
-(* Exit status of a command asked for a size its program cannot be built
-   (or fails validation) at. *)
-let exit_bad_size = 3
+(* Exit status of a command given a program name the registry does not
+   know, or a size the program cannot be built (or fails validation) at. *)
+let exit_bad_program = 3
 
 let exits =
-  Cmd.Exit.info exit_bad_size
-    ~doc:"the program cannot be built at the requested problem size."
+  Cmd.Exit.info exit_bad_program
+    ~doc:
+      "the program is unknown or cannot be built at the requested problem \
+       size."
   :: Cmd.Exit.defaults
 
+(* Bad input, not an internal error: reported on one line. *)
+let find_program name =
+  match K.Registry.find_opt name with
+  | Some entry -> entry
+  | None ->
+      Printf.eprintf "mlc: unknown program %s (see `mlc list`)\n%!" name;
+      exit exit_bad_program
+
 (* Builds and validates a registry program.  A size the program cannot
-   be built at is bad input, not an internal error: it is reported on
-   one line naming the program and the size, with the first reason. *)
+   be built at is reported naming the program and the size, with the
+   first reason. *)
 let build_program name size =
-  let entry = K.Registry.find name in
+  let entry = find_program name in
   let build () =
     let p =
       match (size, entry.K.Registry.build_sized) with
@@ -90,7 +96,7 @@ let build_program name size =
         entry.K.Registry.name
         (match size with Some n -> string_of_int n | None -> "default")
         reason;
-      exit exit_bad_size
+      exit exit_bad_program
 
 (* --- observability flags -------------------------------------------------- *)
 
@@ -156,7 +162,7 @@ let simulate_cmd =
     let machine = machine_of machine_name in
     let p = build_program prog size in
     let orig = L.Experiment.run_strategy machine L.Pipeline.Original p in
-    let opt = L.Experiment.run_strategy machine (strategy_of strategy) p in
+    let opt = L.Experiment.run_strategy machine strategy p in
     Format.printf "%s on %s@." p.Program.name machine.Cs.Machine.name;
     Format.printf "  %a@." L.Experiment.pp_outcome orig;
     Format.printf "  %a@." L.Experiment.pp_outcome opt;
@@ -176,7 +182,6 @@ let simulate_cmd =
 (* --- sweep ----------------------------------------------------------------- *)
 
 let sweep_cmd =
-  let module E = Mlc_engine in
   let lo_arg =
     Arg.(value & opt int 250 & info [ "lo" ] ~docv:"N" ~doc:"Smallest size.")
   in
@@ -190,7 +195,8 @@ let sweep_cmd =
     let doc =
       "Comma-separated strategies (orig,pad,multilvlpad,grouppad,l2maxpad)."
     in
-    Arg.(value & opt string "grouppad,l2maxpad"
+    Arg.(value
+         & opt (list strategy_conv) L.Pipeline.[ Grouppad_l1; Grouppad_l1_l2 ]
          & info [ "strategies" ] ~docv:"S,S" ~doc)
   in
   let jobs_arg =
@@ -206,14 +212,18 @@ let sweep_cmd =
              ~doc:"Cache directory (default _mlc_cache, or MLC_CACHE_DIR).")
   in
   let backend_arg =
-    Arg.(value & opt string "fast"
+    let backends =
+      Arg.enum (List.map (fun b -> (Interp.backend_name b, b)) [ `Fast; `Reference ])
+    in
+    Arg.(value & opt backends `Fast
          & info [ "backend" ] ~docv:"B"
              ~doc:"Simulator backend: $(b,fast) (default) or $(b,reference). \
                    Both produce identical results; fast bulk-accounts \
                    steady runs of L1 hits.")
   in
   let error_policy_arg =
-    Arg.(value & opt string "fail-fast"
+    let policies = Arg.enum [ ("fail-fast", true); ("collect", false) ] in
+    Arg.(value & opt policies true
          & info [ "error-policy" ] ~docv:"P"
              ~doc:"$(b,fail-fast) (default): the first failing cell aborts \
                    the sweep.  $(b,collect): every cell runs, failed cells \
@@ -239,46 +249,19 @@ let sweep_cmd =
                    preempted).")
   in
   let run prog lo hi step strategies machine_name jobs no_cache cache_dir
-      backend_name error_policy resume retries deadline trace metrics =
+      backend fail_fast resume retries deadline trace metrics =
     with_obs
       ~span:(Printf.sprintf "mlc:sweep %s %d..%d" prog lo hi)
       ~trace ~metrics
     @@ fun obs ->
     let machine = machine_of machine_name in
-    let strategies =
-      String.split_on_char ',' strategies
-      |> List.filter (fun s -> s <> "")
-      |> List.map E.Job.strategy_of_tag
-    in
     if strategies = [] then failwith "sweep: no strategies given";
-    let fail_fast =
-      match error_policy with
-      | "fail-fast" -> true
-      | "collect" -> false
-      | other ->
-          failwith
-            (Printf.sprintf "unknown error policy %s (fail-fast|collect)" other)
-    in
     if resume && no_cache then
       failwith "sweep: --resume needs the result cache (drop --no-cache)";
     let rec sizes n = if n > hi then [] else n :: sizes (n + max 1 step) in
     let sizes = sizes lo in
-    let entry =
-      match K.Registry.find_opt prog with
-      | Some e -> e
-      | None ->
-          failwith (Printf.sprintf "unknown program %s (see `mlc list`)" prog)
-    in
-    if entry.K.Registry.build_sized = None then
-      failwith (Printf.sprintf "%s has no size parameter" entry.K.Registry.name);
+    let entry = find_program prog in
     List.iter (fun n -> ignore (build_program entry.K.Registry.name (Some n))) sizes;
-    let backend =
-      match Mlc_ir.Interp.backend_of_string backend_name with
-      | Some b -> b
-      | None ->
-          failwith
-            (Printf.sprintf "unknown backend %s (fast|reference)" backend_name)
-    in
     let cache = if no_cache then None else Some (E.Cache.open_ ?dir:cache_dir ()) in
     let progress = E.Progress.create ~jobs () in
     let specs =
@@ -448,8 +431,9 @@ let layout_cmd =
   let run prog size strategy machine_name =
     let machine = machine_of machine_name in
     let p = build_program prog size in
-    let layout = L.Pipeline.layout_for machine (strategy_of strategy) p in
-    Format.printf "%s, strategy %s:@.%a" p.Program.name strategy Layout.pp layout;
+    let layout = L.Pipeline.layout_for machine strategy p in
+    Format.printf "%s, strategy %s:@.%a" p.Program.name
+      (E.Job.strategy_tag strategy) Layout.pp layout;
     let s1 = Cs.Machine.s1 machine in
     Format.printf "bases mod S1 (%d):@." s1;
     List.iter
@@ -470,7 +454,7 @@ let arcs_cmd =
   let run prog size strategy machine_name diagram =
     let machine = machine_of machine_name in
     let p = build_program prog size in
-    let layout = L.Pipeline.layout_for machine (strategy_of strategy) p in
+    let layout = L.Pipeline.layout_for machine strategy p in
     let s1 = Cs.Machine.s1 machine in
     let line = Cs.Machine.level_line machine 0 in
     if diagram then
@@ -603,10 +587,15 @@ let compile_cmd =
     with_obs ~span:("mlc:compile " ^ prog) ~trace ~metrics @@ fun _obs ->
     let machine = machine_of machine_name in
     let p = build_program prog size in
-    let options =
-      { L.Compiler.default_options with L.Compiler.scalar_replace = scalar }
+    let passes =
+      if not scalar then L.Compiler.default_passes
+      else
+        List.concat_map
+          (fun pass ->
+            if pass == L.Pass.fusion then [ pass; L.Pass.scalar_replace ] else [ pass ])
+          L.Compiler.default_passes
     in
-    print_string (L.Compiler.report ~options machine p)
+    print_string (L.Compiler.report ~passes machine p)
   in
   let term =
     Term.(
@@ -628,7 +617,8 @@ let emit_cmd =
       "Output language: c (standalone C program), f77 (Fortran with the \
        layout realized in a COMMON block) or mlc (kernel language)."
     in
-    Arg.(value & opt string "c" & info [ "lang" ] ~docv:"L" ~doc)
+    let langs = Arg.enum [ ("c", `C); ("f77", `F77); ("mlc", `Mlc) ] in
+    Arg.(value & opt langs `C & info [ "lang" ] ~docv:"L" ~doc)
   in
   let repeat_arg =
     Arg.(value & opt int 1 & info [ "repeat" ] ~docv:"R" ~doc:"Repetitions in the emitted main.")
@@ -637,14 +627,13 @@ let emit_cmd =
     let machine = machine_of machine_name in
     let p = build_program prog size in
     match lang with
-    | "mlc" -> print_string (Pretty.program p)
-    | "c" ->
-        let layout = L.Pipeline.layout_for machine (strategy_of strategy) p in
+    | `Mlc -> print_string (Pretty.program p)
+    | `C ->
+        let layout = L.Pipeline.layout_for machine strategy p in
         print_string (Mlc_codegen.Codegen_c.emit ~repeat layout p)
-    | "f77" ->
-        let layout = L.Pipeline.layout_for machine (strategy_of strategy) p in
+    | `F77 ->
+        let layout = L.Pipeline.layout_for machine strategy p in
         print_string (Mlc_codegen.Codegen_f77.emit layout p)
-    | other -> failwith (Printf.sprintf "unknown language %s (c|f77|mlc)" other)
   in
   let term =
     Term.(const run $ prog_arg $ size_arg $ strategy_arg $ machine_arg $ lang_arg
@@ -708,7 +697,7 @@ let run_cmd =
         exit 1
     | p ->
         let orig = L.Experiment.run_strategy machine L.Pipeline.Original p in
-        let opt = L.Experiment.run_strategy machine (strategy_of strategy) p in
+        let opt = L.Experiment.run_strategy machine strategy p in
         Format.printf "%s on %s@." p.Program.name machine.Cs.Machine.name;
         Format.printf "  %a@." L.Experiment.pp_outcome orig;
         Format.printf "  %a@." L.Experiment.pp_outcome opt;
@@ -756,7 +745,6 @@ let trace_check_cmd =
 (* --- cache (maintenance) ------------------------------------------------------ *)
 
 let cache_cmd =
-  let module E = Mlc_engine in
   let cache_dir_arg =
     Arg.(value & opt (some string) None
          & info [ "cache-dir" ] ~docv:"DIR"

@@ -6,16 +6,14 @@
     + profitable loop fusion of adjacent nests (two-level model);
     + intra-variable padding where a variable conflicts with itself;
     + inter-variable padding / group-reuse padding for the L1 cache,
-      then L2MAXPAD when a second level exists;
-    + optionally scalar replacement of register-carried loads.
+      then L2MAXPAD when a second level exists.
 
-    The pipeline is a composition of {!Pass.t} values: pass
-    [~passes:[...]] to run an arbitrary sequence, or use the legacy
-    {!options} record, which is translated to the equivalent pass list
-    ({!passes_of_options}).  Tiling is not applied blindly — it is
-    profitable for reduction-style nests like matrix multiplication, not
-    for the stencils that dominate the suite — so it stays an explicit
-    tool ({!Tiling}).
+    The pipeline is a list of {!Pass.t} values: pass [~passes:[...]] to
+    run another sequence (for instance with {!Pass.scalar_replace} after
+    fusion, to remove register-carried loads).  Tiling is not applied
+    blindly — it is profitable for reduction-style nests like matrix
+    multiplication, not for the stencils that dominate the suite — so it
+    stays an explicit tool ({!Tiling}).
 
     Every decision is logged; [optimize] never changes what the program
     computes (each pass is legality-checked). *)
@@ -28,40 +26,17 @@ type result = {
   log : string list;
 }
 
-(** Deprecated in favour of [~passes]; kept so existing callers
-    compile.  [optimize ~options] behaves exactly as it always did. *)
-type options = {
-  permute : bool;
-  fuse : bool;
-  pad_strategy : Pipeline.strategy;
-  scalar_replace : bool;
-}
-
-val default_options : options
-
-(** The {!Pass.t} list an {!options} record denotes: enabled program
-    passes in paper order, then [Pipeline.passes options.pad_strategy]. *)
-val passes_of_options : options -> Pass.t list
-
-(** [passes_of_options default_options] — the paper's default pipeline:
-    permute, fusion, intra-pad, GROUPPAD, L2MAXPAD. *)
+(** The paper's default pipeline: permute, fusion, then
+    [Pipeline.passes Grouppad_l1_l2] (intra-pad, GROUPPAD, L2MAXPAD). *)
 val default_passes : Pass.t list
 
-(** [optimize ?options ?passes machine program].  When [passes] is given
-    it wins over [options]: the list is folded over
-    [(program, Layout.initial program)] via {!Pass.run_all}. *)
+(** [optimize ?passes machine program] folds [passes] (default
+    {!default_passes}) over [(program, Layout.initial program)] via
+    {!Pass.run_all}.  The log names the passes, then lists each pass's
+    decisions and the final layout's non-zero pads. *)
 val optimize :
-  ?options:options ->
-  ?passes:Pass.t list ->
-  Mlc_cachesim.Machine.t ->
-  Program.t ->
-  result
+  ?passes:Pass.t list -> Mlc_cachesim.Machine.t -> Program.t -> result
 
 (** Convenience: simulate original vs optimized and report the paper's
     metrics (per-level miss rates and model-time improvement). *)
-val report :
-  ?options:options ->
-  ?passes:Pass.t list ->
-  Mlc_cachesim.Machine.t ->
-  Program.t ->
-  string
+val report : ?passes:Pass.t list -> Mlc_cachesim.Machine.t -> Program.t -> string

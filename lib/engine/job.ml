@@ -61,14 +61,6 @@ let strategy_tag = function
   | L.Pipeline.Grouppad_l1 -> "grouppad"
   | L.Pipeline.Grouppad_l1_l2 -> "l2maxpad"
 
-let strategy_of_tag = function
-  | "orig" -> L.Pipeline.Original
-  | "pad" -> L.Pipeline.Pad_l1
-  | "multilvlpad" -> L.Pipeline.Pad_multilevel
-  | "grouppad" -> L.Pipeline.Grouppad_l1
-  | "l2maxpad" -> L.Pipeline.Grouppad_l1_l2
-  | other -> spec_error "unknown strategy %S (orig|pad|multilvlpad|grouppad|l2maxpad)" other
-
 let rec program_string = function
   | Registry { name; n } ->
       Printf.sprintf "registry(%s%s)"
@@ -199,18 +191,14 @@ let execute spec =
      on the reference cascade (the two backends agree everywhere else, so
      this only costs time, never accuracy). *)
   let use_fast = spec.backend = `Fast && spec.machine.prefetch_levels = [] in
-  let interp, level_stats, cost_breakdown =
+  let interp, live =
     if use_fast then begin
       let sim =
         Cs.Fast_sim.create
           ?write_allocate:spec.machine.write_allocate
           machine_t.Cs.Machine.geometries
       in
-      let interp = Interp.run_sim sim machine_t layout program in
-      let live = Cs.Fast_sim.level_stats sim in
-      ( interp,
-        List.map (fun s -> Cs.Stats.add (Cs.Stats.zero ()) s) live,
-        Cs.Cost_model.breakdown_of_stats machine_t.Cs.Machine.cost live )
+      (Interp.run_sim sim machine_t layout program, Cs.Fast_sim.level_stats sim)
     end
     else begin
       let hierarchy =
@@ -219,13 +207,13 @@ let execute spec =
           ~prefetch_levels:spec.machine.prefetch_levels
           machine_t.Cs.Machine.geometries
       in
-      let interp = Interp.run_on hierarchy machine_t layout program in
-      ( interp,
-        List.map
-          (fun level -> Cs.Stats.add (Cs.Stats.zero ()) (Cs.Level.stats level))
-          (Cs.Hierarchy.levels hierarchy),
-        Cs.Cost_model.breakdown machine_t.Cs.Machine.cost hierarchy )
+      ( Interp.run_on hierarchy machine_t layout program,
+        List.map Cs.Level.stats (Cs.Hierarchy.levels hierarchy) )
     end
+  in
+  let level_stats = List.map (fun s -> Cs.Stats.add (Cs.Stats.zero ()) s) live in
+  let cost_breakdown =
+    Cs.Cost_model.breakdown_of_stats machine_t.Cs.Machine.cost level_stats
   in
   let predicted =
     if spec.predict then

@@ -88,10 +88,9 @@ val canonical : spec -> string
 (** Short label for progress lines. *)
 val describe : spec -> string
 
+(** The strategy's short name in canonical specs and on the command
+    line: orig, pad, multilvlpad, grouppad, l2maxpad. *)
 val strategy_tag : L.Pipeline.strategy -> string
-
-(** @raise Spec_error on an unknown tag. *)
-val strategy_of_tag : string -> L.Pipeline.strategy
 
 (** Everything a job produces, as plain data (safe to [Marshal]). *)
 type result = {

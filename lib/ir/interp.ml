@@ -137,14 +137,16 @@ let feed_nest hierarchy layout nest =
   walk_accesses layout (compile_nest layout nest) (fun write addr ->
       ignore (Cs.Hierarchy.access hierarchy ~write addr))
 
-let feed hierarchy layout program =
+(* Every nest of every time step through [feed_nest], in program order;
+   returns the flops executed. *)
+let feed_program feed_nest program =
   let flops = ref 0 in
   for _step = 1 to program.Program.time_steps do
-    List.iter
-      (fun nest -> flops := !flops + feed_nest hierarchy layout nest)
-      program.Program.nests
+    List.iter (fun nest -> flops := !flops + feed_nest nest) program.Program.nests
   done;
   !flops
+
+let feed hierarchy layout program = feed_program (feed_nest hierarchy layout) program
 
 (* Fast-backend twin of [feed_nest]: the walker stops one level short and
    the whole innermost loop is handed to [Fast_sim.block] as (base,
@@ -185,14 +187,7 @@ let feed_nest_fast sim layout nest =
     walk_accesses layout c (fun write addr ->
         ignore (Cs.Fast_sim.access sim ~write addr))
 
-let feed_fast sim layout program =
-  let flops = ref 0 in
-  for _step = 1 to program.Program.time_steps do
-    List.iter
-      (fun nest -> flops := !flops + feed_nest_fast sim layout nest)
-      program.Program.nests
-  done;
-  !flops
+let feed_fast sim layout program = feed_program (feed_nest_fast sim layout) program
 
 (* --- observability ------------------------------------------------------- *)
 
@@ -221,82 +216,63 @@ let obs_record_levels ~before ~after =
       obs_count "sim.refs" (a1.Cs.Stats.accesses - b1.Cs.Stats.accesses)
   | _ -> ()
 
-let run_on hierarchy machine layout program =
-  let enabled = Obs.enabled () in
-  let stats_of () = List.map Cs.Level.stats (Cs.Hierarchy.levels hierarchy) in
-  let before = if enabled then obs_snapshot (stats_of ()) else [] in
-  let flops =
-    if not enabled then feed hierarchy layout program
-    else
-      Obs.with_span ~cat:"sim"
-        ~args:
-          [
-            ("backend", `Str "reference");
-            ("program", `Str program.Program.name);
-          ]
-        "sim:run"
-        (fun () -> feed hierarchy layout program)
-  in
-  if enabled then obs_record_levels ~before ~after:(obs_snapshot (stats_of ()));
-  let total_refs = Cs.Hierarchy.total_refs hierarchy in
-  let misses =
-    List.map
-      (fun level -> (Cs.Level.stats level).Cs.Stats.misses)
-      (Cs.Hierarchy.levels hierarchy)
-  in
-  let cycles = Cs.Cost_model.cycles machine.Cs.Machine.cost hierarchy in
-  let seconds = Cs.Cost_model.seconds machine.Cs.Machine.cost hierarchy in
+(* The one place a [result] is built: every figure derives from the
+   per-level counters (L1 first) and the flops executed. *)
+let result_of_stats cost ~flops stats =
+  let total_refs = (List.hd stats).Cs.Stats.accesses in
   {
     total_refs;
-    misses;
-    miss_rates = Cs.Hierarchy.miss_rates hierarchy;
-    memory_accesses = Cs.Hierarchy.memory_accesses hierarchy;
-    writebacks = Cs.Hierarchy.writebacks hierarchy;
-    flops;
-    cycles;
-    seconds;
-    mflops = Cs.Cost_model.mflops machine.Cs.Machine.cost ~flops hierarchy;
-  }
-
-let run_sim sim machine layout program =
-  let enabled = Obs.enabled () in
-  let before = if enabled then obs_snapshot (Cs.Fast_sim.level_stats sim) else [] in
-  let m0 = if enabled then Some (Cs.Fast_sim.metrics sim) else None in
-  let flops =
-    if not enabled then feed_fast sim layout program
-    else
-      Obs.with_span ~cat:"sim"
-        ~args:
-          [ ("backend", `Str "fast"); ("program", `Str program.Program.name) ]
-        "sim:run"
-        (fun () -> feed_fast sim layout program)
-  in
-  if enabled then begin
-    obs_record_levels ~before ~after:(obs_snapshot (Cs.Fast_sim.level_stats sim));
-    match m0 with
-    | Some m0 ->
-        let m1 = Cs.Fast_sim.metrics sim in
-        obs_count "sim.fast.bulk_segments"
-          (m1.Cs.Fast_sim.bulk_segments - m0.Cs.Fast_sim.bulk_segments);
-        obs_count "sim.fast.bulk_iterations"
-          (m1.Cs.Fast_sim.bulk_iterations - m0.Cs.Fast_sim.bulk_iterations);
-        obs_count "sim.fast.seq_iterations"
-          (m1.Cs.Fast_sim.seq_iterations - m0.Cs.Fast_sim.seq_iterations)
-    | None -> ()
-  end;
-  let stats = Cs.Fast_sim.level_stats sim in
-  let cost = machine.Cs.Machine.cost in
-  {
-    total_refs = Cs.Fast_sim.total_refs sim;
     misses = List.map (fun s -> s.Cs.Stats.misses) stats;
-    miss_rates = Cs.Fast_sim.miss_rates sim;
-    memory_accesses = Cs.Fast_sim.memory_accesses sim;
-    writebacks = Cs.Fast_sim.writebacks sim;
+    miss_rates = List.map (Cs.Stats.miss_rate_vs ~total_refs) stats;
+    memory_accesses = (List.nth stats (List.length stats - 1)).Cs.Stats.misses;
+    writebacks = List.fold_left (fun acc s -> acc + s.Cs.Stats.writebacks) 0 stats;
     flops;
     cycles = Cs.Cost_model.cycles_of_stats cost stats;
     seconds = Cs.Cost_model.seconds_of_stats cost stats;
     mflops = Cs.Cost_model.mflops_of_stats cost ~flops stats;
   }
+
+(* One run on a fresh simulator, shared by both backends: [feed] drives
+   it and [stats ()] reads its live per-level counters.  [extra ()]
+   lists backend-specific cumulative counters, recorded as deltas. *)
+let run_with ~backend ~stats ?(extra = fun () -> []) feed machine layout program =
+  let before =
+    if Obs.enabled () then Some (obs_snapshot (stats ()), extra ()) else None
+  in
+  let flops =
+    match before with
+    | None -> feed layout program
+    | Some _ ->
+        Obs.with_span ~cat:"sim"
+          ~args:[ ("backend", `Str backend); ("program", `Str program.Program.name) ]
+          "sim:run"
+          (fun () -> feed layout program)
+  in
+  (match before with
+  | None -> ()
+  | Some (levels, extra0) ->
+      obs_record_levels ~before:levels ~after:(obs_snapshot (stats ()));
+      List.iter2 (fun (name, n0) (_, n1) -> obs_count name (n1 - n0)) extra0 (extra ()));
+  result_of_stats machine.Cs.Machine.cost ~flops (stats ())
+
+let run_on hierarchy =
+  run_with ~backend:"reference"
+    ~stats:(fun () -> List.map Cs.Level.stats (Cs.Hierarchy.levels hierarchy))
+    (feed hierarchy)
+
+let fast_counters sim =
+  let m = Cs.Fast_sim.metrics sim in
+  [
+    ("sim.fast.bulk_segments", m.Cs.Fast_sim.bulk_segments);
+    ("sim.fast.bulk_iterations", m.Cs.Fast_sim.bulk_iterations);
+    ("sim.fast.seq_iterations", m.Cs.Fast_sim.seq_iterations);
+  ]
+
+let run_sim sim =
+  run_with ~backend:"fast"
+    ~stats:(fun () -> Cs.Fast_sim.level_stats sim)
+    ~extra:(fun () -> fast_counters sim)
+    (feed_fast sim)
 
 type backend = [ `Reference | `Fast ]
 
@@ -326,9 +302,6 @@ let trace layout program =
     !out.(!n) <- addr;
     incr n
   in
-  for _step = 1 to program.Program.time_steps do
-    List.iter
-      (fun nest -> ignore (walk_accesses layout (compile_nest layout nest) sink))
-      program.Program.nests
-  done;
+  let walk nest = walk_accesses layout (compile_nest layout nest) sink in
+  ignore (feed_program walk program);
   Array.sub !out 0 !n

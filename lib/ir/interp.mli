@@ -66,9 +66,6 @@ val run_sim :
     existing hierarchy (no cost model applied); returns flops executed. *)
 val feed : Mlc_cachesim.Hierarchy.t -> Layout.t -> Program.t -> int
 
-(** [`Fast] analogue of {!feed}. *)
-val feed_fast : Mlc_cachesim.Fast_sim.t -> Layout.t -> Program.t -> int
-
 (** Full address trace (byte addresses, program order), produced by the
     same walker as {!feed}.  Allocates the whole trace (one int per
     reference). *)

@@ -74,14 +74,42 @@ let test_accesses_preserved_without_scalar_replacement () =
     (relative (Layout.initial p) p)
     (relative r.L.Compiler.layout r.L.Compiler.program)
 
-let test_options_disable_passes () =
+let test_passes_select_transformations () =
+  (* no permute pass: figure 1 keeps its memory-hostile loop order *)
   let p = K.Paper_examples.figure1 ~n:64 ~m:64 in
-  let options =
-    { L.Compiler.default_options with L.Compiler.permute = false; fuse = false }
+  let r =
+    L.Compiler.optimize ~passes:(L.Pipeline.passes L.Pipeline.Grouppad_l1_l2) machine p
   in
-  let r = L.Compiler.optimize ~options machine p in
   let nest = List.hd r.L.Compiler.program.Program.nests in
   Alcotest.(check (list string)) "loop order untouched" [ "j"; "i" ] (Nest.vars nest)
+
+(* The default pipeline's layout is the GROUPPAD+L2MAXPAD strategy applied
+   to the program the loop passes return, field for field. *)
+let test_default_layout_is_strategy_layout () =
+  List.iter
+    (fun (e : K.Registry.entry) ->
+      let r = L.Compiler.optimize machine (e.K.Registry.build ()) in
+      let program = r.L.Compiler.program in
+      let expected = L.Pipeline.layout_for machine L.Pipeline.Grouppad_l1_l2 program in
+      let got = r.L.Compiler.layout in
+      Alcotest.(check (list string))
+        (e.K.Registry.name ^ " arrays")
+        (Layout.array_names expected) (Layout.array_names got);
+      let field what f =
+        List.iter
+          (fun v ->
+            Alcotest.(check int)
+              (Printf.sprintf "%s %s %s" e.K.Registry.name v what)
+              (f expected v) (f got v))
+          (Layout.array_names expected)
+      in
+      field "pad_before" Layout.pad_before;
+      field "intra_pad" Layout.intra_pad;
+      field "base" Layout.base;
+      Alcotest.(check int)
+        (e.K.Registry.name ^ " total_bytes")
+        (Layout.total_bytes expected) (Layout.total_bytes got))
+    K.Registry.all
 
 let test_report_renders () =
   let out = L.Compiler.report machine (K.Livermore.jacobi 128) in
@@ -102,7 +130,9 @@ let () =
           Alcotest.test_case "fuses figure 2" `Quick test_fuses_figure2;
           Alcotest.test_case "accesses preserved" `Quick
             test_accesses_preserved_without_scalar_replacement;
-          Alcotest.test_case "options" `Quick test_options_disable_passes;
+          Alcotest.test_case "options" `Quick test_passes_select_transformations;
+          Alcotest.test_case "default layout = strategy layout" `Quick
+            test_default_layout_is_strategy_layout;
           Alcotest.test_case "report" `Quick test_report_renders;
         ] );
     ]

@@ -305,6 +305,31 @@ let test_cli_bad_size () =
       ("simulate JACOBI512 -n 0", 0);
       ("simulate JACOBI512 -n 1", 1);
       ("sweep JACOBI512 --lo 0 --hi 8 --step 8 --no-cache", 0);
+    ];
+  (* an unknown program is reported the same way; unknown strategy and
+     machine names are cmdliner usage errors *)
+  List.iter
+    (fun (args, status, message) ->
+      let err, st = run_cmd_stderr (exe ^ " " ^ args) in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: exit status %d" args status)
+        true
+        (st = Unix.WEXITED status);
+      Alcotest.(check bool) (args ^ ": names the bad value") true (contains err message);
+      if status = 3 then
+        Alcotest.(check string) (args ^ ": one line on stderr") message err;
+      Alcotest.(check bool)
+        (args ^ ": no uncaught exception")
+        false
+        (contains err "uncaught exception"))
+    [
+      ("simulate nosuch", 3, "mlc: unknown program nosuch (see `mlc list`)\n");
+      ("sweep nosuch --no-cache", 3, "mlc: unknown program nosuch (see `mlc list`)\n");
+      ("simulate JACOBI512 -s bogus", 124, "invalid value 'bogus'");
+      ("simulate JACOBI512 --machine bogus", 124, "invalid value 'bogus'");
+      ( "sweep JACOBI512 --strategies grouppad,bogus --no-cache",
+        124,
+        "invalid value 'bogus'" );
     ]
 
 (* --- property: no faults => collect = fail-fast = run, any jobs ------------- *)
