@@ -58,6 +58,12 @@ let exits =
        size."
   :: Cmd.Exit.defaults
 
+(* A flag combination a command cannot run with: reported on one line,
+   with the status cmdliner gives every other command-line error. *)
+let usage_error msg =
+  Printf.eprintf "mlc: %s\n%!" msg;
+  exit Cmd.Exit.cli_error
+
 (* Bad input, not an internal error: reported on one line. *)
 let find_program name =
   match K.Registry.find_opt name with
@@ -218,8 +224,9 @@ let sweep_cmd =
     Arg.(value & opt backends `Fast
          & info [ "backend" ] ~docv:"B"
              ~doc:"Simulator backend: $(b,fast) (default) or $(b,reference). \
-                   Both produce identical results; fast bulk-accounts \
-                   steady runs of L1 hits.")
+                   Both produce identical results; fast checks L1 inline \
+                   and skips outer-loop iterations once the cache state \
+                   repeats itself shifted.")
   in
   let error_policy_arg =
     let policies = Arg.enum [ ("fail-fast", true); ("collect", false) ] in
@@ -250,14 +257,14 @@ let sweep_cmd =
   in
   let run prog lo hi step strategies machine_name jobs no_cache cache_dir
       backend fail_fast resume retries deadline trace metrics =
+    if strategies = [] then usage_error "sweep: --strategies names no strategy";
+    if resume && no_cache then
+      usage_error "sweep: --resume needs the result cache (drop --no-cache)";
     with_obs
       ~span:(Printf.sprintf "mlc:sweep %s %d..%d" prog lo hi)
       ~trace ~metrics
     @@ fun obs ->
     let machine = machine_of machine_name in
-    if strategies = [] then failwith "sweep: no strategies given";
-    if resume && no_cache then
-      failwith "sweep: --resume needs the result cache (drop --no-cache)";
     let rec sizes n = if n > hi then [] else n :: sizes (n + max 1 step) in
     let sizes = sizes lo in
     let entry = find_program prog in

@@ -2,11 +2,12 @@
    ([Hierarchy] over [Level]).  Same filtered semantics (level i+1 only
    sees level i's misses), same LRU tie-breaking, same write-allocate and
    dirty-line accounting, so the per-level [Stats.t] match the reference
-   path exactly.  Speed comes from [block], which consumes a whole
-   innermost-loop iteration segment at once: as long as no reference
-   crosses an L1 line boundary and every referenced line is L1-resident,
-   the iterations are guaranteed hits that touch no lower level, so they
-   can be accounted in bulk with a single recency/dirty refresh.
+   path exactly.  Speed comes from two places.  [block] consumes a whole
+   innermost loop at once: with a direct-mapped L1 it checks L1 tags
+   inline and cascades only misses; with an associative L1 it accounts
+   runs of guaranteed hits in bulk.  [outer_loop] skips whole outer-loop
+   iterations once the cache state repeats itself shifted by the outer
+   stride (direct-mapped hierarchies only).
 
    Hardware prefetch is not modelled here; callers gate on it and fall
    back to the reference path. *)
@@ -20,7 +21,12 @@ type level = {
   last_use : int array;
   dirty : bool array;
   mutable clock : int;
+  mutable valid : int;  (* lines holding a tag *)
   stats : Stats.t;
+  (* [outer_loop]'s copy of [tags]/[dirty], preallocated so a try
+     allocates nothing *)
+  snap_tags : int array;
+  snap_dirty : bool array;
 }
 
 type t = {
@@ -29,17 +35,19 @@ type t = {
   (* scratch for [block], grown on demand to the widest ref group seen *)
   mutable cur : int array;
   mutable slot : int array;
-  mutable rem : int array;
-  (* fast-path accounting: how [block] consumed its iterations *)
+  (* fast-path accounting: how [block] and [outer_loop] consumed their
+     iterations *)
   mutable bulk_segments : int;
   mutable bulk_iterations : int;
   mutable seq_iterations : int;
+  mutable skipped_iterations : int;
 }
 
 type metrics = {
   bulk_segments : int;
   bulk_iterations : int;
   seq_iterations : int;
+  skipped_iterations : int;
 }
 
 let is_pow2 n = n > 0 && n land (n - 1) = 0
@@ -66,7 +74,10 @@ let make_level (geom : Level.geometry) =
     last_use = Array.make n_lines 0;
     dirty = Array.make n_lines false;
     clock = 0;
+    valid = 0;
     stats = Stats.create ();
+    snap_tags = Array.make n_lines (-1);
+    snap_dirty = Array.make n_lines false;
   }
 
 let create ?(write_allocate = true) geoms =
@@ -76,31 +87,20 @@ let create ?(write_allocate = true) geoms =
     levels = Array.of_list (List.map make_level geoms);
     cur = [||];
     slot = [||];
-    rem = [||];
     bulk_segments = 0;
     bulk_iterations = 0;
     seq_iterations = 0;
+    skipped_iterations = 0;
   }
 
 let level_stats t = Array.to_list (Array.map (fun l -> l.stats) t.levels)
-
-let total_refs t = t.levels.(0).stats.Stats.accesses
-
-let memory_accesses t = t.levels.(Array.length t.levels - 1).stats.Stats.misses
-
-let writebacks t =
-  Array.fold_left (fun acc l -> acc + l.stats.Stats.writebacks) 0 t.levels
-
-let miss_rates t =
-  let total = total_refs t in
-  Array.to_list
-    (Array.map (fun l -> Stats.miss_rate_vs ~total_refs:total l.stats) t.levels)
 
 let metrics (t : t) : metrics =
   {
     bulk_segments = t.bulk_segments;
     bulk_iterations = t.bulk_iterations;
     seq_iterations = t.seq_iterations;
+    skipped_iterations = t.skipped_iterations;
   }
 
 (* One access at one level; mirrors Level.access minus prefetch.
@@ -122,7 +122,8 @@ let access_level ~write_allocate ~write l addr =
     end
     else begin
       if (not write) || write_allocate then begin
-        if Array.unsafe_get l.tags set >= 0 && Array.unsafe_get l.dirty set then
+        if Array.unsafe_get l.tags set < 0 then l.valid <- l.valid + 1
+        else if Array.unsafe_get l.dirty set then
           st.Stats.writebacks <- st.Stats.writebacks + 1;
         Array.unsafe_set l.tags set line_addr;
         Array.unsafe_set l.dirty set write
@@ -156,7 +157,8 @@ let access_level ~write_allocate ~write l addr =
           then victim := w
         done;
         let slot = base + !victim in
-        if Array.unsafe_get l.tags slot >= 0 && Array.unsafe_get l.dirty slot then
+        if Array.unsafe_get l.tags slot < 0 then l.valid <- l.valid + 1
+        else if Array.unsafe_get l.dirty slot then
           st.Stats.writebacks <- st.Stats.writebacks + 1;
         Array.unsafe_set l.tags slot line_addr;
         Array.unsafe_set l.dirty slot write;
@@ -194,163 +196,76 @@ let find_slot l addr =
 let ensure_scratch t n =
   if Array.length t.cur < n then begin
     t.cur <- Array.make n 0;
-    t.slot <- Array.make n 0;
-    t.rem <- Array.make n 0
+    t.slot <- Array.make n 0
   end
 
 (* [block] pushes [count] iterations of an innermost loop through the
    hierarchy: iteration j issues, for each ref r in order,
-   [bases.(r) + j * strides.(r)] (a write iff [writes.(r)]).
+   [bases.(r) + j * strides.(r)] (a write iff [writes.(r)]). *)
 
-   The exactness argument both variants rely on: while every reference
-   hits L1, lower levels see nothing and no line is installed or evicted,
-   so such iterations change no tag state — only counters, dirty bits
-   (idempotent: any write during the run leaves the line dirty before the
-   next possible eviction) and, for associative L1s, LRU recency. *)
-
-(* Direct-mapped L1 (the paper's machines): no recency state at all, so a
-   steady all-hit phase needs nothing but counting.  Per reference we
-   track [rem], the number of iterations (current included) it stays on
-   its current line — pure address geometry; the phase advances by the
-   minimum and re-probes only the references that crossed a line
-   boundary, since nothing was installed, so the others cannot have been
-   evicted.  Crossed refs are committed in two phases (check residency of
-   all, then update), so a miss exits the phase before any dirty bit of
-   an unsimulated iteration is set.  Iterations with a missing line run
-   sequentially in reference order with the L1 hit check inlined; only
-   actually-missing refs enter the cascade (whose installs can evict a
-   later ref's line, hence the per-ref re-check at its turn).  Inline
-   hits carry no per-access counter updates at all: they are recovered at
-   the end as (iterations * nrefs) - (cascaded accesses).
+(* Direct-mapped L1 (the paper's machines): the iterations run in
+   reference order with L1 inlined; only refs that miss L1 go on to the
+   cascade below it (whose installs at L1 can evict a later ref's line,
+   hence the per-ref check at its turn).  L1 counters are not bumped per
+   access: they are recovered at the end from the iteration count and
+   the misses.  No bulk phase: with a sub-line stride a ref stays on one
+   line for at most line/stride iterations, too few to pay for tracking.
 
    Unchecked array accesses: sets are masked by [set_mask]; scratch
    indices are < nrefs, and [block] validated the input array lengths. *)
 let block_dm t l1 ~bases ~strides ~writes ~count =
   let nrefs = Array.length bases in
   ensure_scratch t nrefs;
-  let cur = t.cur and rem = t.rem and slot = t.slot in
+  let cur = t.cur in
   Array.blit bases 0 cur 0 nrefs;
   let line_bits = l1.line_bits and set_mask = l1.set_mask in
   let tags = l1.tags and dirty = l1.dirty in
-  let line_mask = (1 lsl line_bits) - 1 in
-  let line = line_mask + 1 in
-  let cross_dist a s =
-    if s = 0 then max_int
-    else if s >= line || -s >= line then 1
-    else if s > 0 then (line - (a land line_mask) + s - 1) / s
-    else ((a land line_mask) / -s) + 1
-  in
+  let st = l1.stats in
+  let n = Array.length t.levels in
+  let misses = ref 0 in
+  for _ = 1 to count do
+    for r = 0 to nrefs - 1 do
+      let a = Array.unsafe_get cur r in
+      let la = a lsr line_bits in
+      let set = la land set_mask in
+      let w = Array.unsafe_get writes r in
+      if Array.unsafe_get tags set = la then begin
+        if w then Array.unsafe_set dirty set true
+      end
+      else begin
+        incr misses;
+        if (not w) || t.write_allocate then begin
+          if Array.unsafe_get tags set < 0 then l1.valid <- l1.valid + 1
+          else if Array.unsafe_get dirty set then
+            st.Stats.writebacks <- st.Stats.writebacks + 1;
+          Array.unsafe_set tags set la;
+          Array.unsafe_set dirty set w
+        end;
+        ignore (cascade t w 1 n a)
+      end;
+      Array.unsafe_set cur r (a + Array.unsafe_get strides r)
+    done
+  done;
   let nwrites = ref 0 in
   for r = 0 to nrefs - 1 do
     if writes.(r) then incr nwrites
   done;
-  let nwrites = !nwrites in
-  let n = Array.length t.levels in
-  let bulk_iters = ref 0 in
-  let seq_iters = ref 0 in
-  let ncasc = ref 0 in
-  let ncasc_w = ref 0 in
-  let i = ref 0 in
-  while !i < count do
-    (* is iteration !i an all-hit iteration? *)
-    let all = ref true in
-    for r = 0 to nrefs - 1 do
-      let la = Array.unsafe_get cur r lsr line_bits in
-      if Array.unsafe_get tags (la land set_mask) <> la then all := false
-    done;
-    if !all then begin
-      (* steady all-hit phase *)
-      for r = 0 to nrefs - 1 do
-        let a = Array.unsafe_get cur r in
-        if Array.unsafe_get writes r then begin
-          let la = a lsr line_bits in
-          Array.unsafe_set dirty (la land set_mask) true
-        end;
-        Array.unsafe_set rem r (cross_dist a (Array.unsafe_get strides r))
-      done;
-      let steady = ref true in
-      while !steady && !i < count do
-        let k = ref (count - !i) in
-        for r = 0 to nrefs - 1 do
-          let rr = Array.unsafe_get rem r in
-          if rr < !k then k := rr
-        done;
-        let k = !k in
-        bulk_iters := !bulk_iters + k;
-        t.bulk_segments <- t.bulk_segments + 1;
-        i := !i + k;
-        for r = 0 to nrefs - 1 do
-          Array.unsafe_set rem r (Array.unsafe_get rem r - k);
-          Array.unsafe_set cur r
-            (Array.unsafe_get cur r + (k * Array.unsafe_get strides r))
-        done;
-        if !i < count then begin
-          (* crossed refs (rem = 0) moved onto unverified lines *)
-          let ok = ref true in
-          let nc = ref 0 in
-          for r = 0 to nrefs - 1 do
-            if Array.unsafe_get rem r = 0 then begin
-              let la = Array.unsafe_get cur r lsr line_bits in
-              if Array.unsafe_get tags (la land set_mask) <> la then ok := false;
-              Array.unsafe_set slot !nc r;
-              incr nc
-            end
-          done;
-          let ok = !ok in
-          for j = 0 to !nc - 1 do
-            let r = Array.unsafe_get slot j in
-            let a = Array.unsafe_get cur r in
-            if ok && Array.unsafe_get writes r then begin
-              let la = a lsr line_bits in
-              Array.unsafe_set dirty (la land set_mask) true
-            end;
-            Array.unsafe_set rem r (cross_dist a (Array.unsafe_get strides r))
-          done;
-          if not ok then steady := false
-        end
-      done
-    end
-    else begin
-      (* sequential phase: whole iterations until one is all-hit again *)
-      let had_miss = ref true in
-      while !had_miss && !i < count do
-        had_miss := false;
-        for r = 0 to nrefs - 1 do
-          let a = Array.unsafe_get cur r in
-          let la = a lsr line_bits in
-          let set = la land set_mask in
-          let w = Array.unsafe_get writes r in
-          if Array.unsafe_get tags set = la then begin
-            if w then Array.unsafe_set dirty set true
-          end
-          else begin
-            had_miss := true;
-            incr ncasc;
-            if w then incr ncasc_w;
-            ignore (cascade t w 0 n a)
-          end;
-          Array.unsafe_set cur r (a + Array.unsafe_get strides r)
-        done;
-        incr seq_iters;
-        incr i
-      done
-    end
-  done;
-  let st = l1.stats in
-  let inline_hits = ((!bulk_iters + !seq_iters) * nrefs) - !ncasc in
-  let inline_writes = ((!bulk_iters + !seq_iters) * nwrites) - !ncasc_w in
-  st.Stats.accesses <- st.Stats.accesses + inline_hits;
-  st.Stats.hits <- st.Stats.hits + inline_hits;
-  st.Stats.writes <- st.Stats.writes + inline_writes;
-  t.bulk_iterations <- t.bulk_iterations + !bulk_iters;
-  t.seq_iterations <- t.seq_iterations + !seq_iters
+  let accesses = count * nrefs in
+  st.Stats.accesses <- st.Stats.accesses + accesses;
+  st.Stats.hits <- st.Stats.hits + (accesses - !misses);
+  st.Stats.misses <- st.Stats.misses + !misses;
+  st.Stats.writes <- st.Stats.writes + (count * !nwrites);
+  t.seq_iterations <- t.seq_iterations + count
 
 (* Associative L1: segments bounded by the next line crossing of any ref.
    If every ref's line is resident the whole segment is hits and is
-   accounted in bulk; recency then needs one refresh — touching each
-   ref's line once, in ref order, with fresh clock values reproduces the
-   relative last-use order the per-access path would leave, and only the
-   relative order feeds LRU victim selection. *)
+   accounted in bulk: while every ref hits L1, lower levels see nothing
+   and no line is installed or evicted, so the segment changes only
+   counters, dirty bits (idempotent) and LRU recency.  Recency then needs
+   one refresh — touching each ref's line once, in ref order, with fresh
+   clock values reproduces the relative last-use order the per-access
+   path would leave, and only the relative order feeds LRU victim
+   selection. *)
 let block_assoc t l1 ~bases ~strides ~writes ~count =
   let nrefs = Array.length bases in
   ensure_scratch t nrefs;
@@ -448,3 +363,138 @@ let block t ~bases ~strides ~writes ~count =
     if l1.assoc = 1 then block_dm t l1 ~bases ~strides ~writes ~count
     else block_assoc t l1 ~bases ~strides ~writes ~count
   end
+
+(* --- outer-loop fast-forward ----------------------------------------------
+
+   [outer_loop] runs an outer loop whose iteration j+1 issues exactly the
+   accesses of iteration j shifted by [stride] bytes.  When every level is
+   direct-mapped and [stride] is a multiple of every line size, shifting
+   every address by [stride] moves each line [k = stride / line] sets on
+   (mod the set count) and adds [k] to its tag; the simulator is
+   equivariant under that shift, since hits, misses, installs, evictions
+   and dirty bits depend only on tag equality within a set.  So if the
+   state after iteration j+1 is the state after iteration j shifted by
+   [stride], iteration j+2 sees the shifted state and the shifted
+   accesses, repeats iteration j+1's counter deltas and again ends in the
+   shifted state: by induction every remaining iteration does.  They are
+   accounted as a multiple of the last delta, and the state is shifted
+   once by the whole distance. *)
+
+(* Counter vector: per level the five [Stats] counters and the valid
+   lines, then the body iterations [block] has consumed. *)
+let read_counters t v =
+  Array.iteri
+    (fun i l ->
+      let s = l.stats and o = 6 * i in
+      v.(o) <- s.Stats.accesses;
+      v.(o + 1) <- s.Stats.hits;
+      v.(o + 2) <- s.Stats.misses;
+      v.(o + 3) <- s.Stats.writes;
+      v.(o + 4) <- s.Stats.writebacks;
+      v.(o + 5) <- l.valid)
+    t.levels;
+  v.(Array.length v - 1) <- t.bulk_iterations + t.seq_iterations
+
+(* A shift keeps the number of valid lines, so while a level is still
+   filling no try can succeed. *)
+let fills t v =
+  let rec go i = i < Array.length t.levels && (v.((6 * i) + 5) <> 0 || go (i + 1)) in
+  go 0
+
+let add_counters t ~times v =
+  Array.iteri
+    (fun i l ->
+      let s = l.stats and o = 6 * i in
+      s.Stats.accesses <- s.Stats.accesses + (times * v.(o));
+      s.Stats.hits <- s.Stats.hits + (times * v.(o + 1));
+      s.Stats.misses <- s.Stats.misses + (times * v.(o + 2));
+      s.Stats.writes <- s.Stats.writes + (times * v.(o + 3));
+      s.Stats.writebacks <- s.Stats.writebacks + (times * v.(o + 4)))
+    t.levels;
+  t.skipped_iterations <- t.skipped_iterations + (times * v.(Array.length v - 1))
+
+let snapshot t =
+  Array.iter
+    (fun l ->
+      Array.blit l.tags 0 l.snap_tags 0 (Array.length l.tags);
+      Array.blit l.dirty 0 l.snap_dirty 0 (Array.length l.dirty))
+    t.levels
+
+(* Does every level hold the snapshot shifted by [d] bytes? *)
+let shifted_from_snapshot t d =
+  let ok = ref true in
+  let i = ref 0 in
+  while !ok && !i < Array.length t.levels do
+    let l = t.levels.(!i) in
+    let k = d asr l.line_bits in
+    let s = ref 0 in
+    while !ok && !s <= l.set_mask do
+      let tag = l.snap_tags.(!s) in
+      let s' = (!s + k) land l.set_mask in
+      ok :=
+        l.tags.(s') = (if tag < 0 then -1 else tag + k)
+        && l.dirty.(s') = l.snap_dirty.(!s);
+      incr s
+    done;
+    incr i
+  done;
+  !ok
+
+(* Replace the state by itself shifted by [d] bytes. *)
+let shift_state t d =
+  snapshot t;
+  Array.iter
+    (fun l ->
+      let k = d asr l.line_bits in
+      for s = 0 to l.set_mask do
+        let tag = l.snap_tags.(s) in
+        let s' = (s + k) land l.set_mask in
+        l.tags.(s') <- (if tag < 0 then -1 else tag + k);
+        l.dirty.(s') <- l.snap_dirty.(s)
+      done)
+    t.levels
+
+(* A try costs a snapshot and a comparison, O(lines).  It is made only
+   after two outer iterations with identical counter deltas that filled
+   no empty line (a state that repeats shifted must repeat its deltas
+   first, and keeps its count of valid lines), and only when an iteration
+   issues at least [lines / 4] L1 accesses, which bounds the checking
+   work by a small multiple of the simulation work. *)
+let outer_loop t ~stride ~count body =
+  let qualifies =
+    stride <> 0
+    && Array.for_all
+         (fun l -> l.assoc = 1 && stride land ((1 lsl l.line_bits) - 1) = 0)
+         t.levels
+  in
+  let lines = Array.fold_left (fun acc l -> acc + Array.length l.tags) 0 t.levels in
+  let nc = (6 * Array.length t.levels) + 1 in
+  let before = Array.make nc 0 in
+  let delta = Array.make nc 0 in
+  let prev = Array.make nc (-1) in
+  let snapped = ref false in
+  let skipped = ref false in
+  let ran = ref 0 in
+  while (not !skipped) && !ran < count do
+    read_counters t before;
+    body !ran;
+    incr ran;
+    read_counters t delta;
+    for i = 0 to nc - 1 do
+      delta.(i) <- delta.(i) - before.(i)
+    done;
+    if !snapped && shifted_from_snapshot t stride then begin
+      let rest = count - !ran in
+      add_counters t ~times:rest delta;
+      shift_state t (rest * stride);
+      skipped := true
+    end
+    else begin
+      snapped :=
+        qualifies && count - !ran >= 2 && 4 * delta.(0) >= lines && delta = prev
+        && not (fills t delta);
+      if !snapped then snapshot t;
+      Array.blit delta 0 prev 0 nc
+    end
+  done;
+  !ran

@@ -94,26 +94,30 @@ let compile_nest layout nest =
     env;
   }
 
-(* The walker: runs loop levels [0, upto) in program order, keeping
-   [partials] current, and calls [leaf ()] once per iteration of level
-   [upto - 1] (once in all when [upto = 0]). *)
-let walk c ~upto leaf =
-  let nrefs = Array.length c.crefs in
+(* Set loop [level]'s variable to [iv] and bring [partials.(level + 1)]
+   up to date. *)
+let enter c level iv =
+  let cur = c.partials.(level) in
+  let next = c.partials.(level + 1) in
+  let strides = c.strides.(level) in
+  c.ivs.(level) <- iv;
+  for r = 0 to Array.length c.crefs - 1 do
+    next.(r) <- cur.(r) + (strides.(r) * iv)
+  done
+
+(* The walker: runs loop levels [from, upto) in program order (levels
+   below [from] already entered), keeping [partials] current, and calls
+   [leaf ()] once per iteration of level [upto - 1] (once in all when
+   [upto = from]). *)
+let walk ?(from = 0) c ~upto leaf =
   let rec go level =
     if level = upto then leaf ()
-    else begin
-      let cur = c.partials.(level) in
-      let next = c.partials.(level + 1) in
-      let strides = c.strides.(level) in
+    else
       Loop.iter c.env c.loops.(level) (fun iv ->
-          c.ivs.(level) <- iv;
-          for r = 0 to nrefs - 1 do
-            next.(r) <- cur.(r) + (strides.(r) * iv)
-          done;
+          enter c level iv;
           go (level + 1))
-    end
   in
-  go 0
+  go from
 
 (* Per-access walk: [sink write addr] for every reference of every
    iteration, in program order.  Returns the flops executed. *)
@@ -148,12 +152,37 @@ let feed_program feed_nest program =
 
 let feed hierarchy layout program = feed_program (feed_nest hierarchy layout) program
 
+(* The stride in bytes every reference advances by per outermost
+   iteration, when the nest has one and no inner loop bound depends on
+   the outermost variable: then outer iteration j+1 issues iteration j's
+   accesses shifted by that stride, as [Fast_sim.outer_loop] requires. *)
+let outer_stride c =
+  if c.depth < 2 || Array.length c.crefs = 0 then None
+  else begin
+    let outer = c.loops.(0) in
+    let stride = c.strides.(0).(0) * outer.Loop.step in
+    let mentions e = Expr.coeff e outer.Loop.var <> 0 in
+    let free (l : Loop.t) =
+      not
+        (mentions l.lo || mentions l.hi
+        || Option.fold ~none:false ~some:mentions l.lo_max
+        || Option.fold ~none:false ~some:mentions l.hi_min)
+    in
+    if
+      stride <> 0
+      && Array.for_all (fun s -> s * outer.Loop.step = stride) c.strides.(0)
+      && Array.for_all free (Array.sub c.loops 1 (c.depth - 1))
+    then Some stride
+    else None
+  end
+
 (* Fast-backend twin of [feed_nest]: the walker stops one level short and
    the whole innermost loop is handed to [Fast_sim.block] as (base,
-   stride, count) per reference, letting the simulator account steady
-   runs of L1 hits in bulk.  Gather subscripts (and zero-depth bodies)
-   fall back to per-access feeding, which is still exact — just not
-   bulked. *)
+   stride, count) per reference.  When the nest has an outer stride, the
+   outermost loop is run by [Fast_sim.outer_loop], which may account its
+   later iterations without calling back; they execute the flops of the
+   last one that ran.  Gather subscripts (and zero-depth bodies) fall
+   back to per-access feeding, which is still exact. *)
 let feed_nest_fast sim layout nest =
   let c = compile_nest layout nest in
   let all_linear =
@@ -170,17 +199,33 @@ let feed_nest_fast sim layout nest =
     let bases = Array.make nrefs 0 in
     let cur = c.partials.(inner) in
     let flops = ref 0 in
-    walk c ~upto:inner (fun () ->
-        let count = Loop.trip_count c.env inner_loop in
-        if count > 0 then begin
-          let lo = Loop.effective_lo c.env inner_loop in
-          for r = 0 to nrefs - 1 do
-            bases.(r) <- cur.(r) + (strides_inner.(r) * lo)
-          done;
-          Cs.Fast_sim.block sim ~bases ~strides:block_strides
-            ~writes:c.is_write ~count;
-          flops := !flops + (c.flops_per_iter * count)
-        end);
+    let leaf () =
+      let count = Loop.trip_count c.env inner_loop in
+      if count > 0 then begin
+        let lo = Loop.effective_lo c.env inner_loop in
+        for r = 0 to nrefs - 1 do
+          bases.(r) <- cur.(r) + (strides_inner.(r) * lo)
+        done;
+        Cs.Fast_sim.block sim ~bases ~strides:block_strides
+          ~writes:c.is_write ~count;
+        flops := !flops + (c.flops_per_iter * count)
+      end
+    in
+    (match outer_stride c with
+    | None -> walk c ~upto:inner leaf
+    | Some stride ->
+        let outer = c.loops.(0) in
+        let lo = Loop.effective_lo c.env outer in
+        let count = Loop.trip_count c.env outer in
+        let last = ref 0 in
+        let ran =
+          Cs.Fast_sim.outer_loop sim ~stride ~count (fun j ->
+              let before = !flops in
+              enter c 0 (lo + (j * outer.Loop.step));
+              walk ~from:1 c ~upto:inner leaf;
+              last := !flops - before)
+        in
+        flops := !flops + ((count - ran) * !last));
     !flops
   end
   else
@@ -266,6 +311,7 @@ let fast_counters sim =
     ("sim.fast.bulk_segments", m.Cs.Fast_sim.bulk_segments);
     ("sim.fast.bulk_iterations", m.Cs.Fast_sim.bulk_iterations);
     ("sim.fast.seq_iterations", m.Cs.Fast_sim.seq_iterations);
+    ("sim.fast.skipped_iterations", m.Cs.Fast_sim.skipped_iterations);
   ]
 
 let run_sim sim =

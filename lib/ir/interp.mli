@@ -7,7 +7,12 @@
     lookup.  One walker visits the iterations: it hands every access to a
     sink (the reference cascade, {!trace}, and the fast backend's gather
     fallback), or stops one level short and hands whole innermost loops
-    to {!Mlc_cachesim.Fast_sim.block}. *)
+    to {!Mlc_cachesim.Fast_sim.block}.  On the fast backend, a nest of
+    depth two or more whose references all advance by one outermost
+    stride, and whose inner loop bounds do not depend on the outermost
+    variable, has its outermost loop run by
+    {!Mlc_cachesim.Fast_sim.outer_loop}, which may account the later
+    outer iterations without simulating them. *)
 
 type result = {
   total_refs : int;
@@ -23,7 +28,8 @@ type result = {
 
 (** Which simulator executes the reference stream.  [`Reference] walks
     the {!Mlc_cachesim.Hierarchy} cascade access by access; [`Fast] uses
-    {!Mlc_cachesim.Fast_sim}, which bulk-accounts steady runs of L1 hits.
+    {!Mlc_cachesim.Fast_sim}, which checks L1 inline and skips outer-loop
+    iterations once the cache state repeats itself shifted.
     The two produce identical results for any machine without hardware
     prefetching (the differential test suite enforces this); [`Fast] does
     not model prefetch, so callers with [prefetch_levels] must use

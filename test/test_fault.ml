@@ -307,7 +307,8 @@ let test_cli_bad_size () =
       ("sweep JACOBI512 --lo 0 --hi 8 --step 8 --no-cache", 0);
     ];
   (* an unknown program is reported the same way; unknown strategy and
-     machine names are cmdliner usage errors *)
+     machine names are cmdliner usage errors, and so are the sweep flag
+     combinations that cannot run (reported on one line) *)
   List.iter
     (fun (args, status, message) ->
       let err, st = run_cmd_stderr (exe ^ " " ^ args) in
@@ -316,7 +317,7 @@ let test_cli_bad_size () =
         true
         (st = Unix.WEXITED status);
       Alcotest.(check bool) (args ^ ": names the bad value") true (contains err message);
-      if status = 3 then
+      if String.starts_with ~prefix:"mlc: " message then
         Alcotest.(check string) (args ^ ": one line on stderr") message err;
       Alcotest.(check bool)
         (args ^ ": no uncaught exception")
@@ -330,6 +331,12 @@ let test_cli_bad_size () =
       ( "sweep JACOBI512 --strategies grouppad,bogus --no-cache",
         124,
         "invalid value 'bogus'" );
+      ( "sweep JACOBI512 --lo 64 --hi 72 --step 8 --resume --no-cache",
+        124,
+        "mlc: sweep: --resume needs the result cache (drop --no-cache)\n" );
+      ( "sweep JACOBI512 --lo 64 --hi 72 --step 8 --strategies '' --no-cache",
+        124,
+        "mlc: sweep: --strategies names no strategy\n" );
     ]
 
 (* --- property: no faults => collect = fail-fast = run, any jobs ------------- *)

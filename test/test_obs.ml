@@ -246,15 +246,18 @@ let test_counters_backend_invariant () =
   Alcotest.(check (list (pair string int)))
     "per-level counters identical across backends"
     (sim_level_counters reference) (sim_level_counters fast);
-  Alcotest.(check bool) "fast backend reports bulk segments" true
-    (List.mem_assoc "sim.fast.bulk_segments" fast)
+  Alcotest.(check bool) "fast backend reports sequential iterations" true
+    (List.mem_assoc "sim.fast.seq_iterations" fast)
 
 (* --- conservation --------------------------------------------------------- *)
 
-let test_counter_conservation () =
+(* One fast-backend JACOBI512 job at size [n]; [skips] says whether the
+   outer-loop fast-forward must fire (it does at n=512, where an outer
+   iteration issues enough accesses for a try, not at n=64). *)
+let check_conservation ~n ~skips =
   let spec =
     E.Job.simulate ~layout:E.Job.Initial
-      (E.Job.Registry { name = "JACOBI512"; n = Some 64 })
+      (E.Job.Registry { name = "JACOBI512"; n = Some n })
   in
   let buf = Obs.Buf.create () in
   let results = E.Engine.run ~obs:buf ~jobs:1 [| spec |] in
@@ -264,9 +267,20 @@ let test_counter_conservation () =
   Alcotest.(check int) "sim.refs = result refs" total_refs (c "sim.refs");
   let program =
     match (K.Registry.find "JACOBI512").K.Registry.build_sized with
-    | Some f -> f 64
+    | Some f -> f n
     | None -> Alcotest.fail "JACOBI512 not size-parameterized"
   in
+  (* every body iteration is accounted once: in bulk, replayed, or
+     skipped by the fast-forward *)
+  let body_iterations =
+    program.Program.time_steps
+    * List.fold_left (fun acc nest -> acc + Nest.iterations nest) 0 program.Program.nests
+  in
+  Alcotest.(check int) "bulk + seq + skipped iterations = body iterations"
+    body_iterations
+    (c "sim.fast.bulk_iterations" + c "sim.fast.seq_iterations"
+    + c "sim.fast.skipped_iterations");
+  Alcotest.(check bool) "fast-forward fired" skips (c "sim.fast.skipped_iterations" > 0);
   let trace_len = Array.length (Interp.trace (Layout.initial program) program) in
   Alcotest.(check int) "sim.refs = trace length" trace_len (c "sim.refs");
   (* every reference enters L1 *)
@@ -290,6 +304,10 @@ let test_counter_conservation () =
         (l "misses")
         (c (Printf.sprintf "sim.L%d.accesses" (i + 1)))
   done
+
+let test_counter_conservation () =
+  check_conservation ~n:64 ~skips:false;
+  check_conservation ~n:512 ~skips:true
 
 (* --- pass pipeline vs historical composition ------------------------------ *)
 
